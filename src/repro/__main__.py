@@ -13,7 +13,6 @@ Usage::
                           [--split-threshold 2048] [--subshard on|off]
                           [--backend bitset|reference|sat|check]
                           [--trace FILE]
-                          [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
                            [--spawn auto|N [--max-respawns 3]]
     python -m repro dist status HOST:7071 [--json] [--watch N [--interval S]]
@@ -244,15 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
     try:
-        report = solvability_sweep(
-            config=config,
-            executor=_executor_for(args),
-            checkpoint_path=args.checkpoint,
-            resume_from=args.resume_from,
-        )
+        report = solvability_sweep(config=config, executor=_executor_for(args))
     except DistError as exc:
-        # A missing/mismatched checkpoint must fail loudly, not silently
-        # become a fresh run.
         raise SystemExit(f"sweep: {exc}") from exc
     if args.json:
         payload = {
@@ -261,12 +253,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "total_classes": report.total_classes,
             "sharded": report.sharded,
             "resumed": report.resumed,
-            "replayed": report.replayed,
-            "checkpoint_dropped": report.checkpoint_dropped,
             "split_threshold": report.split_threshold,
             "subshard": report.subshard,
             "backend": report.backend,
-            "cost_model": report.cost_model,
             "splits": report.splits,
             "subshards": report.subshards,
             "classes": [cls.to_dict() for cls in report.classes],
@@ -385,7 +374,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service = ServeService(
             config,
             log=lambda message: print(f"[serve] {message}", file=sys.stderr),
-            checkpoint=args.checkpoint,
         ).start()
     except (ConfigError, DistError, VerificationError, OSError) as exc:
         raise SystemExit(f"serve: {exc}") from exc
@@ -450,8 +438,7 @@ def _render_dist_status(address: str, status: dict) -> str:
         f"{status['completed']}/{status['jobs']} jobs done, "
         f"queue depth {status['queue_depth']}, "
         f"{status['leases']} lease(s), {status['requeues']} requeue(s), "
-        f"{status.get('respawns', 0)} respawn(s), "
-        f"{status.get('replayed', 0)} replayed"
+        f"{status.get('respawns', 0)} respawn(s)"
         + (
             " [cost-scaled leases]"
             if status.get("lease_scaling")
@@ -780,13 +767,6 @@ def main(argv: list[str] | None = None) -> int:
         "--store-path", metavar="FILE", default=None,
         help="store database path (default: the store's own default)",
     )
-    p_serve.add_argument(
-        "--checkpoint", metavar="FILE", default=None,
-        help="snapshot the embedded coordinator's in-flight jobs here; a "
-        "restarted service started with the same path resubmits any "
-        "submitted-but-unfinished jobs automatically (run-state only — "
-        "not part of the config fingerprint)",
-    )
     add_backend_arg(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -920,28 +900,6 @@ def main(argv: list[str] | None = None) -> int:
         help="dynamic sub-shard scheduling: 'off' forces every class "
         "onto the monolithic one-job-per-class path (the reference the "
         "equivalence tests compare against; default: on)",
-    )
-    p_sweep.add_argument(
-        "--cost-model", choices=("static", "observed"), default="static",
-        help="per-class cost estimator feeding job ordering and split "
-        "decisions: 'static' uses the 2^missing proxy, 'observed' "
-        "prefers wall-clock timings banked by earlier sweeps and bench "
-        "runs, falling back to static for unseen classes (default: "
-        "static)",
-    )
-    p_sweep.add_argument(
-        "--checkpoint", metavar="FILE", default=None,
-        help="snapshot queue progress (completed job names, requeues) "
-        "atomically to FILE as shards land, alongside the store; a "
-        "killed sweep resumes from it with --resume-from",
-    )
-    p_sweep.add_argument(
-        "--resume-from", metavar="FILE", default=None, dest="resume_from",
-        help="rehydrate the remaining plan from a checkpoint written by "
-        "an earlier --checkpoint run: completed jobs replay as warm "
-        "store hits (zero kernel recompute), only the remainder is "
-        "scheduled.  Pass the same FILE to both flags for a "
-        "crash-restart loop",
     )
     p_sweep.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"

@@ -48,7 +48,6 @@ here so the experiment table and the sweep never diverge.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..bounds.report import bound_report
@@ -63,18 +62,13 @@ from ..verification.backends import CSP_BACKEND_VARIANTS, resolve_backend
 from ..verification.solvability import decide_one_round_solvability
 
 __all__ = [
-    "COST_MODELS",
     "DEFAULT_BUDGET",
     "DEFAULT_SPLIT_THRESHOLD",
-    "OBSERVED_SECONDS_PER_UNIT",
     "SweepClassReport",
     "SweepPlan",
     "SweepReport",
     "estimate_class_cost",
-    "observed_class_cost",
-    "plan_fingerprint",
     "plan_sweep",
-    "record_class_observation",
     "reduce_sweep_row",
     "solvability_sweep",
     "sweep_headers",
@@ -93,64 +87,10 @@ DEFAULT_BUDGET = 1 << 12
 #: frontier's wall-clock.
 DEFAULT_SPLIT_THRESHOLD = 1 << 11
 
-#: The cost models :func:`estimate_class_cost` understands: ``static``
-#: is the ``2^missing`` proxy above; ``observed`` prefers a measured
-#: per-class wall-clock banked by an earlier sweep (falling back to
-#: ``static`` for classes never timed).
-COST_MODELS = ("static", "observed")
-
-#: Calibration constant converting an observed per-class wall-clock into
-#: the static estimate's unit (enumerated graphs): roughly the measured
-#: per-graph cost of one bitset-backend CSP shard on the development
-#: container.  Only *relative* magnitudes matter — estimates order jobs
-#: and pick sides of ``split_threshold`` — so the constant just keeps
-#: observed estimates on the same scale the threshold was tuned for.
-OBSERVED_SECONDS_PER_UNIT = 1e-4
-
-
-@cached_kernel(
-    name="observed_class_cost",
-    key=lambda g, n, budget: (iso_key(g), n, budget),
-    version="1",
-)
-def observed_class_cost(g: Digraph, n: int, budget: int) -> float:
-    """Observation bank: a class's measured shard wall-clock in seconds.
-
-    This kernel is **seed-only**: values arrive exclusively via
-    :func:`record_class_observation` (the ``seed`` API, so an observation
-    persists as an ordinary store row under this kernel's
-    ``(name, version, key)`` identity) and are consulted via ``peek``,
-    which never computes.  Calling the wrapper on a cold key is a
-    programming error — there is nothing to compute, only to have
-    measured — hence the raise.
-    """
-    raise RuntimeError(
-        "observed_class_cost is an observation bank: record timings with "
-        "record_class_observation(), read them with "
-        "observed_class_cost.peek() — never call it"
-    )
-
-
-def record_class_observation(
-    g: Digraph, n: int, elapsed: float, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Bank a class's measured shard wall-clock for the observed model.
-
-    First observation wins (the ``seed`` contract): estimates must be
-    identical in every process of a run, and a value that flapped with
-    machine load would make the planner disagree with itself across
-    coordinator restarts.  Returns True when this call installed the
-    observation.
-    """
-    return observed_class_cost.seed(float(elapsed), g, n, budget)
-
-
 def estimate_class_cost(
     g: Digraph,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    *,
-    cost_model: str = "static",
 ) -> int:
     """Estimated enumerated-model size of ``g``'s class, capped by budget.
 
@@ -162,28 +102,9 @@ def estimate_class_cost(
     anyway.  No enumeration, no CSP: one popcount, which is what lets
     the planner make *identical* split decisions in every process,
     serial or distributed.
-
-    ``cost_model="observed"`` prefers a measured wall-clock banked by an
-    earlier sweep (:func:`record_class_observation`, persisted like any
-    kernel result), converted to the static unit via
-    :data:`OBSERVED_SECONDS_PER_UNIT` and clamped to ``[1, budget]``;
-    classes never timed fall back to the static proxy.  Either model
-    only steers *scheduling* (job order, split decisions) — the rows a
-    sweep produces are pinned byte-identical across models.
     """
-    if cost_model not in COST_MODELS:
-        raise ValueError(
-            f"cost_model must be one of {COST_MODELS}, got {cost_model!r}"
-        )
     missing = n * (n - 1) - g.proper_edge_count
-    static = min(1 << missing, budget)
-    if cost_model == "static":
-        return static
-    found, seconds = observed_class_cost.peek(g, n, budget)
-    if not found:
-        return static
-    units = int(round(seconds / OBSERVED_SECONDS_PER_UNIT))
-    return max(1, min(units, budget))
+    return min(1 << missing, budget)
 
 
 # ----------------------------------------------------------------------
@@ -376,9 +297,6 @@ class SweepPlan:
     compute — and persist — under the same backend identity.
     """
 
-    cost_model: str = "static"
-    """The :func:`estimate_class_cost` model the estimates came from."""
-
     @property
     def splits(self) -> int:
         """Classes decomposed into sub-shards."""
@@ -398,7 +316,6 @@ def plan_sweep(
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
     subshard: bool = True,
     backend: str | None = None,
-    cost_model: str = "static",
 ) -> SweepPlan:
     """Build the two-phase job plan for ``representatives``.
 
@@ -408,10 +325,8 @@ def plan_sweep(
     :class:`~repro.engine.batch.Reduction` that fires as the last
     sub-shard lands; everything else stays one monolithic
     :func:`sweep_row` job.  The decision depends only on ``(g, n,
-    budget, split_threshold)`` — plus, under ``cost_model="observed"``,
-    the banked timing observations, which live in the same store every
-    process reads — so every process — serial reference, pool parent,
-    coordinator, remote worker — plans identically.
+    budget, split_threshold)``, so every process — serial reference,
+    pool parent, coordinator, remote worker — plans identically.
 
     ``backend`` is resolved here, once, and the concrete name rides in
     every job's argument tuple: a distributed worker must run the exact
@@ -429,7 +344,6 @@ def plan_sweep(
             split_threshold=split_threshold,
             subshard=subshard,
             backend=backend,
-            cost_model=cost_model,
         )
         _plan_span.set(
             classes=len(plan.classes),
@@ -447,11 +361,10 @@ def _plan_sweep(
     split_threshold: int,
     subshard: bool,
     backend: str,
-    cost_model: str = "static",
 ) -> SweepPlan:
     """The planning proper, with ``backend`` already resolved."""
     entries = [
-        (index, g, estimate_class_cost(g, n, budget, cost_model=cost_model))
+        (index, g, estimate_class_cost(g, n, budget))
         for index, g in enumerate(representatives)
     ]
     tasks: list[Job] = []
@@ -523,34 +436,7 @@ def _plan_sweep(
         tasks=tuple(tasks),
         reductions=tuple(reductions),
         backend=backend,
-        cost_model=cost_model,
     )
-
-
-def plan_fingerprint(plan: SweepPlan) -> str:
-    """12-hex identity of a sweep plan, for checkpoint resume.
-
-    Hashes exactly the parameters that pin *which rows* a plan produces —
-    ``(n, budget, backend, class count)`` — and deliberately nothing
-    that only steers *scheduling*: not the cost model, not the split
-    threshold or decisions, not the task names.  Under
-    ``cost_model="observed"`` a re-built plan may order or decompose
-    classes differently than the plan that wrote a checkpoint; those two
-    plans still describe the same sweep, so resume must accept the
-    checkpoint (completed names the new plan lacks are dropped with a
-    count — see :func:`repro.dist.checkpoint.resume_completed` — at the
-    cost of a warm store hit, not a kernel).  A mismatch in anything
-    hashed here means the checkpoint belongs to a genuinely different
-    sweep, and resuming is refused.
-    """
-    core = (
-        "sweep-plan",
-        plan.n,
-        plan.budget,
-        plan.backend,
-        len(plan.classes),
-    )
-    return hashlib.sha256(repr(core).encode("utf-8")).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
@@ -633,22 +519,10 @@ class SweepReport:
     backend: str = "bitset"
     """The resolved CSP compute backend every shard ran under."""
 
-    cost_model: str = "static"
-    """The cost model that ordered jobs and picked splits this run."""
-
     config_fingerprint: str = ""
     """12-hex digest of the :class:`~repro.config.SweepConfig` this run
     executed under — the identity card comparing result sets across
     invocations (also stamped into the trace and the ``--json`` output)."""
-
-    replayed: int = 0
-    """Jobs restored from a ``--resume-from`` checkpoint this call:
-    completed in the interrupted run, replayed here against the warm
-    store (a pure hit, no kernel recompute) instead of re-dispatched."""
-
-    checkpoint_dropped: int = 0
-    """Checkpointed completions the re-built plan no longer names
-    (observed-cost-model drift, a shrunken ``--limit``); re-run warm."""
 
     @property
     def resumed(self) -> int:
@@ -683,8 +557,6 @@ class SweepReport:
                 f"; {self.splits} class(es) split into {self.subshards} "
                 f"sub-shards (threshold {self.split_threshold})"
             )
-        if self.replayed:
-            text += f"; {self.replayed} job(s) replayed from checkpoint"
         return text
 
 
@@ -698,10 +570,7 @@ def solvability_sweep(
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
     subshard: bool = True,
     backend: str | None = None,
-    cost_model: str = "static",
     config=None,
-    checkpoint_path: str | None = None,
-    resume_from: str | None = None,
 ) -> SweepReport:
     """Run (or resume) the exhaustive solvability sweep on ``n`` processes.
 
@@ -725,29 +594,14 @@ def solvability_sweep(
     CSP compute backend (resolved once, at plan time, so every worker
     runs the same one); the rows are backend-independent — the
     equivalence tests and the CI ``backends-smoke`` job pin it.
-    ``cost_model`` selects the :func:`estimate_class_cost` model the
-    planner schedules with (``"observed"`` prefers wall-clocks banked by
-    earlier sweeps); whichever model runs, each class that actually
-    computed this call has its measured wall-clock recorded via
-    :func:`record_class_observation` — so plain static sweeps feed the
-    observed model without opting in, and rows stay byte-identical
-    across models (pinned by the cost-model equivalence tests).
     ``config`` (:class:`repro.config.SweepConfig`) supersedes every other
     argument except ``executor`` when given; either way the run's config
     fingerprint is stamped into the trace and the returned report.
 
-    ``checkpoint_path`` snapshots queue progress (a
-    :class:`repro.dist.checkpoint.CheckpointState`) atomically alongside
-    the store as jobs land; ``resume_from`` loads such a snapshot and
-    rehydrates the exact remaining plan — completed jobs are *replayed*
-    against the warm store in the parent (a pure hit, never a kernel)
-    instead of re-dispatched, and only the remainder is scheduled.  Both
-    are run-state, not sweep identity, so neither participates in the
-    config fingerprint; the checkpoint carries its own
-    :func:`plan_fingerprint` and resume refuses a snapshot from a
-    different plan.  (``sweep --checkpoint PATH`` / ``--resume-from
-    PATH`` on the CLI; passing the same path to both is the normal
-    crash-restart loop.)
+    A crashed sweep is recovered by re-running the same call against
+    the same store: every (sub-)shard the killed run banked comes back
+    as a warm hit (``resumed`` in its class report), and only the rest
+    computes.
     """
     from ..config import ExecutorConfig, SweepConfig
     from ..graphs.generators import iter_all_digraphs
@@ -761,7 +615,6 @@ def solvability_sweep(
             split_threshold=split_threshold,
             subshard=subshard,
             backend=backend,
-            cost_model=cost_model,
             executor=ExecutorConfig(jobs=max(jobs, 1)),
         )
     else:
@@ -771,14 +624,13 @@ def solvability_sweep(
         split_threshold = config.split_threshold
         subshard = config.subshard
         backend = config.backend
-        cost_model = config.cost_model
         jobs = config.executor.jobs
         if executor is None and config.executor.distributed is not None:
             executor = config.executor.make()
     fingerprint = config.fingerprint()
     TRACER.instant(
         "sweep:config", cat="sweep", fingerprint=fingerprint, n=n,
-        budget=budget, cost_model=cost_model,
+        budget=budget,
     )
 
     representatives = sorted(
@@ -795,48 +647,12 @@ def solvability_sweep(
         split_threshold=split_threshold,
         subshard=subshard,
         backend=backend,
-        cost_model=cost_model,
     )
-    completed_indices: tuple[int, ...] = ()
-    writer = None
-    dropped = 0
-    if resume_from is not None or checkpoint_path is not None:
-        from ..dist.checkpoint import (
-            CheckpointWriter,
-            load_checkpoint,
-            resume_completed,
-        )
-
-        names = tuple(job.name for job in plan.tasks)
-        sweep_fingerprint = plan_fingerprint(plan)
-        carried: tuple[str, ...] = ()
-        if resume_from is not None:
-            state = load_checkpoint(resume_from)
-            present, dropped = resume_completed(
-                state, names, fingerprint=sweep_fingerprint
-            )
-            completed_indices = tuple(
-                index for index, name in enumerate(names) if name in present
-            )
-            carried = tuple(names[index] for index in completed_indices)
-            TRACER.instant(
-                "sweep:resume", cat="sweep", checkpoint=resume_from,
-                replayed=len(completed_indices), dropped=dropped,
-            )
-        if checkpoint_path is not None:
-            writer = CheckpointWriter(
-                path=checkpoint_path,
-                fingerprint=sweep_fingerprint,
-                tasks=names,
-                completed=carried,
-            )
     batch = run_batch(
         list(plan.tasks),
         jobs=jobs,
         executor=executor,
         reductions=plan.reductions,
-        completed=completed_indices,
-        checkpoint=writer,
     )
     rows: list[list[object]] = []
     class_reports: list[SweepClassReport] = []
@@ -864,12 +680,6 @@ def solvability_sweep(
                 resumed=warm,
             )
         )
-        # Feed the scheduler: a class that actually computed this call
-        # (warm classes measured a cache lookup, not a CSP) banks its
-        # wall-clock for later observed-model plans.  First observation
-        # wins, so reruns never flap the estimates.
-        if not warm and elapsed > 0.0:
-            record_class_observation(cls.generator, n, elapsed, budget)
     return SweepReport(
         n=n,
         headers=sweep_headers(),
@@ -881,8 +691,5 @@ def solvability_sweep(
         subshard=subshard,
         classes=tuple(class_reports),
         backend=plan.backend,
-        cost_model=cost_model,
         config_fingerprint=fingerprint,
-        replayed=len(completed_indices),
-        checkpoint_dropped=dropped,
     )

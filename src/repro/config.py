@@ -315,7 +315,6 @@ class SweepConfig(_Config):
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD
     subshard: bool = True
     backend: str | None = None
-    cost_model: str = "static"
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
 
     def __post_init__(self):
@@ -325,10 +324,6 @@ class SweepConfig(_Config):
             raise ConfigError(f"budget must be positive, got {self.budget!r}")
         if self.limit is not None and self.limit < 1:
             raise ConfigError(f"limit must be positive, got {self.limit!r}")
-        if self.cost_model not in ("static", "observed"):
-            raise ConfigError(
-                f"cost_model must be static|observed, got {self.cost_model!r}"
-            )
         if isinstance(self.executor, dict):  # tolerate asdict round trips
             object.__setattr__(self, "executor", ExecutorConfig(**self.executor))
 
@@ -354,7 +349,6 @@ class SweepConfig(_Config):
             ),
             subshard=_tristate(getattr(args, "subshard", None), True),
             backend=getattr(args, "backend", None),
-            cost_model=getattr(args, "cost_model", None) or "static",
             executor=ExecutorConfig.from_args(args),
         )
 

@@ -32,25 +32,17 @@ are read-only; the cluster-wide single-writer invariant stands.
 reports queue depth, leases, per-worker throughput, and rows
 seeded/served against a live coordinator.
 
-Survivability (PR 10): :mod:`~repro.dist.checkpoint` snapshots the
-coordinator's queue accounting atomically alongside the store, so
-``sweep --resume-from CHECKPOINT`` rehydrates the exact remaining plan
-after a coordinator crash (completed jobs replay as warm store hits —
-zero kernel recompute); :mod:`~repro.dist.supervisor` keeps ``--spawn
-auto|N`` worker processes alive across crashes with jittered-backoff
-respawns, each respawn reconnecting warm via the incremental seed
-digest; and leases scale with each job's planned cost estimate, so a
-crashed worker's cheap sub-shard requeues in seconds while a giant
-class keeps a proportionally longer lease.
+Survivability: the coordinator flushes every result's store rows
+the moment it lands, so a crashed coordinator is recovered by re-running
+the same command against the same store — banked jobs come back as warm
+store hits, with zero kernel recompute; :mod:`~repro.dist.supervisor`
+keeps ``--spawn auto|N`` worker processes alive across crashes with
+jittered-backoff respawns, each respawn reconnecting warm via the
+incremental seed digest; and leases scale with each job's planned cost
+estimate, so a crashed worker's cheap sub-shard requeues in seconds
+while a giant class keeps a proportionally longer lease.
 """
 
-from .checkpoint import (
-    CheckpointState,
-    CheckpointWriter,
-    load_checkpoint,
-    resume_completed,
-    write_checkpoint,
-)
 from .executor import (
     DistExecutor,
     Executor,
@@ -68,8 +60,6 @@ from .supervisor import Supervisor, SupervisorReport, resolve_spawn
 from .worker import RemoteStoreTier, WorkerReport, run_worker, run_workers
 
 __all__ = [
-    "CheckpointState",
-    "CheckpointWriter",
     "Coordinator",
     "DistExecutor",
     "Executor",
@@ -81,15 +71,12 @@ __all__ = [
     "Supervisor",
     "SupervisorReport",
     "WorkerReport",
-    "load_checkpoint",
     "make_executor",
     "parse_address",
     "probe_status",
     "render_status_json",
     "resolve_spawn",
-    "resume_completed",
     "run_worker",
     "run_workers",
     "watch_status",
-    "write_checkpoint",
 ]

@@ -255,20 +255,6 @@ class Coordinator:
         whatever ``handler.feed(data)`` returns is written back, and the
         connection closes once ``handler.done`` is true and the buffer
         drains.  See :mod:`repro.serve` for the HTTP frontend.
-    completed:
-        Submission indices already completed by an interrupted earlier
-        run (from a checkpoint).  They are never dispatched to workers;
-        ``start()`` replays them *in this process*, where the warm store
-        that banked them makes each a pure hit, so reductions and result
-        assembly see real outcomes without recomputing a kernel or
-        paying a worker round trip.  Batch mode only.
-    checkpoint:
-        Optional :class:`~repro.dist.checkpoint.CheckpointWriter`.
-        Completions, requeue counts, and (in persistent mode) the
-        submitted-but-unfinished job objects are recorded as they
-        happen — throttled — and the final snapshot is flushed at
-        ``close()``, so a killed coordinator leaves a resumable file
-        next to the store.
     log:
         Optional callable receiving one-line progress strings (worker
         connects/disconnects, requeues); silent when ``None``.
@@ -297,8 +283,6 @@ class Coordinator:
         persistent: bool = False,
         on_complete: Callable[[int, object], object] | None = None,
         frontends: Sequence[tuple] = (),
-        completed=(),
-        checkpoint=None,
         log: Callable[[str], None] | None = None,
     ):
         if lease_timeout <= 0:
@@ -321,22 +305,8 @@ class Coordinator:
         self._persistent = bool(persistent)
         self._on_complete = on_complete
         self._frontend_specs = list(frontends)
-        self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
-        completed_set = frozenset(completed)
-        if completed_set and self._persistent:
-            raise DistError(
-                "completed= is batch-mode resume state; a persistent "
-                "coordinator rehydrates via submit() instead"
-            )
-        for index in completed_set:
-            if not 0 <= index < len(self._tasks):
-                raise DistError(
-                    f"completed index {index} out of range for "
-                    f"{len(self._tasks)} task(s)"
-                )
-        self._replay = sorted(completed_set)
         # Cost-scaled leases: the batch median is the reference point, so
         # "heavy" and "cheap" are relative to this plan, not absolute.
         costs = sorted(
@@ -352,11 +322,7 @@ class Coordinator:
         )
 
         self._lock = threading.Lock()
-        self._pending: deque[int] = deque(
-            index
-            for index in range(len(self._tasks))
-            if index not in completed_set
-        )
+        self._pending: deque[int] = deque(range(len(self._tasks)))
         self._leases: dict[int, _Lease] = {}
         self._outcomes: list[JobResult | JobFailure | None] = [None] * len(
             self._tasks
@@ -371,7 +337,6 @@ class Coordinator:
         self._loads_served = 0
         self._requeues = 0
         self._respawns = 0
-        self._replayed = 0
         self._owner_counter = 0
         # Stats deltas produced in *other* processes — the only ones this
         # process must absorb into its cache/store totals at the end (an
@@ -430,12 +395,6 @@ class Coordinator:
             return self._respawns
 
     @property
-    def replayed(self) -> int:
-        """Checkpoint-completed jobs replayed in-process at start()."""
-        with self._lock:
-            return self._replayed
-
-    @property
     def rows_seeded(self) -> int:
         """Store rows streamed to connecting workers (all handshakes)."""
         with self._lock:
@@ -465,7 +424,6 @@ class Coordinator:
                 "leases": len(self._leases),
                 "requeues": self._requeues,
                 "respawns": self._respawns,
-                "replayed": self._replayed,
                 "lease_scaling": self._cost_ref is not None,
                 "seed_store": self._seed_store,
                 "remote_loads": self._remote_loads,
@@ -497,7 +455,6 @@ class Coordinator:
             return {
                 "requeues": self._requeues,
                 "respawns": self._respawns,
-                "replayed": self._replayed,
                 "rows_seeded": self._rows_seeded,
                 "loads_served": self._loads_served,
                 "workers": [
@@ -553,35 +510,7 @@ class Coordinator:
         )
         self._loop_thread.start()
         self._log(f"coordinator listening on {self.address[0]}:{self.address[1]}")
-        if self._replay:
-            self._replay_completed()
         return self.address
-
-    def _replay_completed(self) -> None:
-        """Re-land checkpoint-completed jobs in this process.
-
-        Against the warm store that banked them each replay is a pure
-        hit: accounting (values for reductions, rows for assembly)
-        without kernel recomputation.  Workers connecting meanwhile only
-        ever see the genuinely remaining jobs — replayed indices were
-        never put on the pending queue.
-        """
-        from ..engine.batch import execute_job
-
-        for index in self._replay:
-            outcome = execute_job(self._tasks[index])
-            if isinstance(outcome, JobFailure):
-                outcome = replace(outcome, index=index)
-            self._complete(index, outcome, True)
-        with self._lock:
-            self._replayed = len(self._replay)
-        TRACER.instant(
-            "dist:replay", cat="dist", jobs=len(self._replay)
-        )
-        self._log(
-            f"replayed {len(self._replay)} checkpointed job(s) "
-            "against the warm store"
-        )
 
     def _bind(self, host: str, port: int, label: str) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -655,33 +584,12 @@ class Coordinator:
             self._outcomes.append(None)
             self._remaining += 1
             self._pending.append(index)
-        self._record_pending()
         self._wake()
         return index
-
-    def _record_pending(self) -> None:
-        """Checkpoint the submitted-but-unfinished jobs (persistent mode).
-
-        Batch-mode coordinators re-derive their remaining work from the
-        plan, so only a persistent queue — whose jobs arrived over HTTP
-        and exist nowhere else — needs the job objects themselves
-        persisted.
-        """
-        if self._checkpoint is None or not self._persistent:
-            return
-        with self._lock:
-            live = sorted(set(self._pending) | set(self._leases))
-            jobs = tuple(self._tasks[i] for i in live)
-        self._checkpoint.record_pending(jobs)
 
     def close(self) -> None:
         """Stop listening, drain in-flight farewells, stop the loop."""
         self._closing = True
-        if self._checkpoint is not None:
-            try:
-                self._checkpoint.flush()
-            except OSError as exc:  # pragma: no cover - disk full etc.
-                self._log(f"final checkpoint write failed: {exc}")
         if self._owns_store and self._store is not None:
             self._store.coordinator_owned -= 1
             self._owns_store = False
@@ -1263,12 +1171,6 @@ class Coordinator:
             if outcome.store_rows:
                 self._store.absorb_rows(outcome.store_rows)
                 self._store.flush()
-        if self._checkpoint is not None:
-            # After the store flush on purpose: a checkpoint must never
-            # claim a completion whose rows a crash could still lose.
-            if isinstance(outcome, JobResult):
-                self._checkpoint.record_done(self._tasks[index].name)
-            self._record_pending()
         for rid in ready:
             self._run_reduction(rid)
         self._maybe_done()
@@ -1358,15 +1260,12 @@ class Coordinator:
                 del self._leases[index]
                 self._pending.appendleft(index)
                 self._requeues += 1
-            requeues = self._requeues
         for index, timeout in expired:
             TRACER.instant("dist:requeue", cat="dist", index=index)
             self._log(
                 f"requeued job {index} after {timeout:.1f}s "
                 "without a heartbeat"
             )
-        if expired and self._checkpoint is not None:
-            self._checkpoint.record_requeues(requeues)
 
     def _expire_farewells(self) -> None:
         """Close post-``done`` connections whose farewell never came."""
@@ -1386,11 +1285,8 @@ class Coordinator:
                     self._pending.appendleft(index)
                     self._requeues += 1
                     requeued.append(index)
-            requeues = self._requeues
         for index in requeued:
             self._log(f"requeued job {index} after {worker} disconnected")
-        if requeued and self._checkpoint is not None:
-            self._checkpoint.record_requeues(requeues)
 
     # ------------------------------------------------------------------
     # Store data plane (remote loads) and the status probe

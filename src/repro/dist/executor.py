@@ -64,8 +64,6 @@ class Executor(Protocol):
         warmup: Callable[[], object] | None = None,
         on_error: str = "raise",
         reductions: Sequence = (),
-        completed: Sequence[int] = (),
-        checkpoint=None,
     ) -> BatchResult: ...
 
 
@@ -81,8 +79,6 @@ class SerialExecutor:
         warmup=None,
         on_error="raise",
         reductions=(),
-        completed=(),
-        checkpoint=None,
     ):
         return run_batch(
             tasks,
@@ -90,8 +86,6 @@ class SerialExecutor:
             warmup=warmup,
             on_error=on_error,
             reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
         )
 
     def __repr__(self) -> str:
@@ -113,8 +107,6 @@ class PoolExecutor:
         warmup=None,
         on_error="raise",
         reductions=(),
-        completed=(),
-        checkpoint=None,
     ):
         return run_batch(
             tasks,
@@ -122,8 +114,6 @@ class PoolExecutor:
             warmup=warmup,
             on_error=on_error,
             reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
         )
 
     def __repr__(self) -> str:
@@ -166,7 +156,6 @@ class DistExecutor:
         self.last_rows_seeded = 0
         self.last_loads_served = 0
         self.last_respawns = 0
-        self.last_replayed = 0
         self.last_metrics: dict | None = None
         """Coordinator-side metrics of the last run (the same mapping as
         ``BatchResult.dist_metrics``): per-worker throughput snapshots
@@ -179,8 +168,6 @@ class DistExecutor:
         warmup=None,
         on_error="raise",
         reductions=(),
-        completed=(),
-        checkpoint=None,
     ):
         from .coordinator import Coordinator
 
@@ -193,8 +180,6 @@ class DistExecutor:
             seed_store=self.seed_store,
             remote_loads=self.remote_loads,
             reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
             log=self.log,
         )
         with coordinator:
@@ -207,7 +192,6 @@ class DistExecutor:
         self.last_rows_seeded = coordinator.rows_seeded
         self.last_loads_served = coordinator.loads_served
         self.last_respawns = coordinator.respawns
-        self.last_replayed = coordinator.replayed
         self.last_metrics = result.dist_metrics
         return result
 

@@ -281,9 +281,8 @@ def describe_dist_metrics(metrics: Mapping) -> str:
         f"{metrics['requeues']} requeue(s)"
     ]
     respawns = metrics.get("respawns", 0)
-    replayed = metrics.get("replayed", 0)
-    if respawns or replayed:
-        lines[0] += f", {respawns} respawn(s), {replayed} replayed"
+    if respawns:
+        lines[0] += f", {respawns} respawn(s)"
     for worker in metrics.get("workers", ()):
         lines.append(
             f"  worker {worker['worker']}: {worker['completed']} done, "
@@ -321,7 +320,6 @@ def dist_metrics_as_dict(metrics: Mapping | None) -> dict:
     return {
         "requeues": int(metrics.get("requeues", 0)),
         "respawns": int(metrics.get("respawns", 0)),
-        "replayed": int(metrics.get("replayed", 0)),
         "rows_seeded": int(metrics.get("rows_seeded", 0)),
         "loads_served": int(metrics.get("loads_served", 0)),
         "workers": workers,
@@ -368,7 +366,6 @@ def _pool_metrics(outcomes, wall: float) -> dict:
     return {
         "requeues": 0,
         "respawns": 0,
-        "replayed": 0,
         "rows_seeded": 0,
         "loads_served": 0,
         "workers": workers,
@@ -614,8 +611,6 @@ def run_batch(
     executor=None,
     reductions: Sequence[Reduction] = (),
     config=None,
-    completed=(),
-    checkpoint=None,
 ) -> BatchResult:
     """Execute ``tasks`` and return their results in submission order.
 
@@ -655,18 +650,6 @@ def run_batch(
         explicit ``executor``), it supersedes ``jobs`` — a distributed
         address in the config builds the distributed executor, otherwise
         its ``jobs`` count is used as if passed directly.
-    completed:
-        Submission indices already completed by a previous (interrupted)
-        run of the same task list.  These jobs are *replayed in the
-        parent* rather than dispatched to workers: against the warm
-        store that banked them they are pure hits, so reductions and
-        result assembly see real outcomes while no kernel recomputes
-        and no worker round trip happens.
-    checkpoint:
-        Optional :class:`repro.dist.checkpoint.CheckpointWriter`; each
-        successful completion is recorded (throttled) so a crash leaves
-        a resumable snapshot, and the final state is flushed when the
-        batch finishes.
     """
     if config is not None:
         jobs = config.jobs
@@ -675,12 +658,7 @@ def run_batch(
     if executor is not None:
         delegated_start = time.perf_counter()
         result = executor.run(
-            tasks,
-            warmup=warmup,
-            on_error=on_error,
-            reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
+            tasks, warmup=warmup, on_error=on_error, reductions=reductions
         )
         if not result.wall:
             result = replace(
@@ -690,13 +668,6 @@ def run_batch(
     tasks = list(tasks)
     if jobs < 1:
         raise EngineError(f"jobs must be positive, got {jobs}")
-    completed_set = frozenset(completed)
-    for index in completed_set:
-        if not 0 <= index < len(tasks):
-            raise EngineError(
-                f"completed index {index} out of range for "
-                f"{len(tasks)} task(s)"
-            )
     workers = min(jobs, len(tasks))
     batch_start = time.perf_counter()
     plan = _ReductionState(len(tasks), reductions)
@@ -731,8 +702,6 @@ def run_batch(
         """Record one completion and fire any reduction it unblocks."""
         _absorb(outcome)
         outcomes[index] = outcome
-        if checkpoint is not None and isinstance(outcome, JobResult):
-            checkpoint.record_done(tasks[index].name)
         for rid in plan.ready_after(index):
             reduction = plan.reductions[rid]
             fired = fire_reduction(
@@ -741,37 +710,16 @@ def run_batch(
             _absorb(fired)
             plan.outcomes[rid] = fired
 
-    def _replay_completed() -> None:
-        """Re-land checkpoint-completed jobs in the parent.
-
-        The warm store that banked them answers every kernel, so this is
-        accounting (values for reductions, rows for assembly), not
-        recomputation — and remaining work never waits on it because
-        replays are the cheapest jobs in the batch by construction.
-        """
-        for index in sorted(completed_set):
-            outcome = execute_job(tasks[index])
-            if isinstance(outcome, JobFailure):
-                outcome = replace(outcome, index=index)
-            _land(index, outcome)
-
-    remaining = [
-        (index, job)
-        for index, job in enumerate(tasks)
-        if index not in completed_set
-    ]
     if workers <= 1 or _in_daemon_process():
         workers = 1
         if warmup is not None:
             warmup()
-        _replay_completed()
-        for index, job in remaining:
+        for index, job in enumerate(tasks):
             outcome = execute_job(job)
             if isinstance(outcome, JobFailure):
                 outcome = replace(outcome, index=index)
             _land(index, outcome)
     else:
-        _replay_completed()
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -784,11 +732,9 @@ def run_batch(
             # while a slow job holds up earlier submission slots — and
             # reductions fire mid-batch, as soon as their group is in.
             for index, outcome in pool.imap_unordered(
-                _execute_indexed, remaining
+                _execute_indexed, list(enumerate(tasks))
             ):
                 _land(index, outcome)
-    if checkpoint is not None:
-        checkpoint.flush()
     landed = [o for o in outcomes if o is not None]
     result = finalize_outcomes(
         landed,

@@ -478,14 +478,10 @@ def cached_kernel(
             these arguments, ``(False, None)`` otherwise — including when
             the caches are disabled, since a bypassed run must not observe
             banked state.  A store-tier hit is promoted into the memo
-            cache so repeated peeks (the planner calls this once per
-            class) cost one SQLite read total, not one per call.
-
-            This is the read half of :func:`seed` for kernels that are
-            *observation banks* rather than computations: values arrive
-            only via ``seed`` (e.g. measured per-class wall-clocks) and
-            are consulted via ``peek``, so a missing observation is an
-            ordinary answer, not a trigger to run the kernel body.
+            cache so repeated peeks cost one SQLite read total, not one
+            per call.  The query service answers from banked state this
+            way, so a miss is an ordinary answer, not a trigger to run
+            the kernel body.
             """
             target = store if store is not None else KERNEL_CACHE
             if not target.enabled:

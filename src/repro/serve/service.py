@@ -21,23 +21,16 @@ persistent-close path of the coordinator), so in-thread workers unwind
 through their normal farewell and the store flushes once, at the single
 writer.
 
-``checkpoint=PATH`` makes the service crash-survivable: the embedded
-coordinator snapshots its submitted-but-unfinished jobs to ``PATH``
-(atomically, throttled — see :mod:`repro.dist.checkpoint`), and a
-restarted service given the same path resubmits them before accepting
-new queries.  Results banked before the crash are unaffected either way
-(they live in the store); the checkpoint recovers only the queue.
-Checkpointing is run-state, not service identity, so it rides a
-constructor keyword rather than :class:`~repro.config.ServeConfig`.
+A restarted service needs no recovery state of its own: results banked
+before the crash live in the store, and clients re-POST their queries
+anyway, because job ids die with the process.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 from ..config import ServeConfig
-from ..dist.checkpoint import CheckpointWriter, load_checkpoint
 from ..dist.coordinator import Coordinator
 from ..dist.executor import parse_address
 from ..dist.worker import run_worker
@@ -57,16 +50,9 @@ class ServeService:
     ``urllib``/``curl``), ``service.dist_address`` the worker port.
     """
 
-    def __init__(
-        self,
-        config: ServeConfig | None = None,
-        *,
-        log=None,
-        checkpoint: str | None = None,
-    ):
+    def __init__(self, config: ServeConfig | None = None, *, log=None):
         self._config = config if config is not None else ServeConfig()
         self._log = log or (lambda message: None)
-        self._checkpoint_path = checkpoint
         self._app: QueryApp | None = None
         self._coordinator: Coordinator | None = None
         self._workers: list[threading.Thread] = []
@@ -112,24 +98,6 @@ class ServeService:
             dist_host, dist_port = parse_address(config.distributed)
         else:
             dist_host, dist_port = "127.0.0.1", 0
-        writer = None
-        resumed_jobs: tuple = ()
-        if self._checkpoint_path is not None:
-            fingerprint = config.fingerprint()
-            if os.path.exists(self._checkpoint_path):
-                state = load_checkpoint(self._checkpoint_path)
-                if state.fingerprint != fingerprint:
-                    raise DistError(
-                        f"checkpoint {self._checkpoint_path!r} belongs to a "
-                        f"service configured as {state.fingerprint}, this "
-                        f"one is {fingerprint}; delete the checkpoint or "
-                        "restart with the original configuration"
-                    )
-                resumed_jobs = state.pending_jobs
-            writer = CheckpointWriter(
-                path=self._checkpoint_path,
-                fingerprint=fingerprint,
-            )
         coordinator = Coordinator(
             [],
             host=dist_host,
@@ -139,21 +107,10 @@ class ServeService:
             wait_delay=config.wait_delay,
             frontends=[(http_host, http_port, lambda: HttpConnection(app))],
             on_complete=app.on_complete,
-            checkpoint=writer,
             log=self._log,
         )
         host, port = coordinator.start()
         app.bind(coordinator)
-        for job in resumed_jobs:
-            # Old job ids died with the old service; clients re-query and
-            # find the result banked.  The queue, not the ids, is what
-            # the checkpoint recovers.
-            coordinator.submit(job)
-        if resumed_jobs:
-            self._log(
-                f"resubmitted {len(resumed_jobs)} in-flight job(s) from "
-                f"checkpoint {self._checkpoint_path}"
-            )
         self._app = app
         self._coordinator = coordinator
         self._started = True

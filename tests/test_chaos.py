@@ -6,8 +6,8 @@ Each test here is one scenario of the CI ``chaos-smoke`` matrix (PR 10):
   leased monolithic sweep shard;
 * ``kill-worker-mid-heavy-subshard`` — same, under ``split_threshold=1``
   so every class is decomposed and the victim dies holding a sub-shard;
-* ``kill-coordinator-mid-sweep`` — SIGKILL the *coordinator* process of
-  a checkpointed distributed sweep, then resume from the checkpoint;
+* ``kill-coordinator-rerun-warm`` — SIGKILL the *coordinator* process
+  of a distributed sweep, then re-run the same sweep on the same store;
 * ``supervisor-respawn`` — SIGKILL a supervised worker and watch the
   supervisor restore the fleet to its target size.
 
@@ -39,7 +39,7 @@ import time
 import pytest
 
 import repro.store as store_pkg
-from repro.analysis.sweeps import solvability_sweep
+from repro.analysis.sweeps import plan_sweep, solvability_sweep
 from repro.dist import DistExecutor, SerialExecutor, Supervisor, probe_status
 from repro.engine import KERNEL_CACHE
 from repro.errors import DistError
@@ -158,6 +158,31 @@ def _kill_first_leaseholder(address_box, victim, killed_box):
         time.sleep(0.005)
 
 
+def _banked_classes(limit: int, **plan_kwargs) -> set[int]:
+    """Indices of the classes whose every job the active store already
+    answers — what a killed run banked before it died."""
+    from repro.graphs.generators import iter_all_digraphs
+    from repro.graphs.symmetry import iter_isomorphism_classes
+
+    representatives = sorted(
+        iter_isomorphism_classes(iter_all_digraphs(3)),
+        key=lambda g: (-g.proper_edge_count, g.out_rows),
+    )[:limit]
+    plan = plan_sweep(representatives, 3, **plan_kwargs)
+    KERNEL_CACHE.clear()
+    def answered(job) -> bool:
+        found, _ = job.fn.peek(*job.args, **job.kwargs)
+        return found
+
+    banked = {
+        cls.index
+        for cls in plan.classes
+        if all(answered(plan.tasks[i]) for i in cls.job_indices)
+    }
+    KERNEL_CACHE.clear()  # peeks promote store hits into the memo tier
+    return banked
+
+
 def _assert_nothing_lost(store, limit: int) -> None:
     """Store-row accounting: a pure-assembly rerun proves every
     completed shard's rows really landed — zero lost completed work."""
@@ -236,23 +261,21 @@ def test_kill_worker_mid_heavy_subshard(chaos_store):
     assert dist.splits == _LIMIT  # the decomposition really was in force
 
 
-def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
-    """Scenario 3: SIGKILL the coordinator of a checkpointed distributed
-    sweep mid-run, then resume from the checkpoint — byte-identical rows,
-    checkpointed completions replayed, not re-dispatched."""
-    scenario = "kill-coordinator-mid-sweep"
+def test_kill_coordinator_mid_sweep_then_rerun_warm(chaos_store):
+    """Scenario 3: SIGKILL the coordinator of a distributed sweep mid-run,
+    then re-run the same sweep on the same store — byte-identical rows,
+    and every class the killed run banked comes back without a CSP."""
+    scenario = "kill-coordinator-rerun-warm"
     limit = _LIMIT
     rows_ref = _serial_reference(limit)
     store_path = chaos_store / f"{scenario}.sqlite"
-    ckpt = str(chaos_store / f"{scenario}.ckpt")
     port = _free_port()
 
     coordinator = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "sweep",
             "--n", "3", "--limit", str(limit), "--split-threshold", "1",
-            "--distributed", f"127.0.0.1:{port}",
-            "--checkpoint", ckpt, "--json",
+            "--distributed", f"127.0.0.1:{port}", "--json",
         ],
         env=_worker_env(store_path),
         stdout=subprocess.PIPE,
@@ -271,7 +294,9 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
             except DistError:
                 time.sleep(0.01)
                 continue
-            if status["completed"] >= 2:
+            # A fired reduction means one whole class is banked, so the
+            # warm re-run below has something to prove.
+            if status["reductions_done"] >= 1:
                 coordinator.send_signal(signal.SIGKILL)
                 killed = True
                 break
@@ -288,18 +313,14 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
         _drain_worker(worker, scenario, "worker")
     assert killed or coordinator.returncode == 0
 
-    # Resume on the survivor: same store, same checkpoint.
+    # Re-run on the survivor: same sweep, same store, nothing else.
     store = store_pkg.configure(path=store_path, mode="rw")
-    KERNEL_CACHE.clear()
-    resumed = solvability_sweep(
-        3, limit=limit, split_threshold=1,
-        resume_from=ckpt, checkpoint_path=ckpt,
-    )
-    assert resumed.rows == rows_ref
-    # The first checkpoint write lands on the first completion and the
-    # kill waited for two, so the checkpoint must replay something —
-    # and nothing the dead coordinator banked may be recomputed or lost.
-    assert resumed.replayed >= 1
+    banked = _banked_classes(limit, split_threshold=1)
+    assert banked, "the killed run banked no whole class"
+    rerun = solvability_sweep(3, limit=limit, split_threshold=1)
+    assert rerun.rows == rows_ref
+    resumed = {cls.index for cls in rerun.classes if cls.resumed}
+    assert banked <= resumed, sorted(banked - resumed)
     _assert_nothing_lost(store, limit)
 
 

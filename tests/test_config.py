@@ -80,8 +80,6 @@ class TestValidation:
     def test_sweep(self):
         with pytest.raises(ConfigError):
             SweepConfig(n=0)
-        with pytest.raises(ConfigError):
-            SweepConfig(cost_model="psychic")
 
     def test_serve(self):
         with pytest.raises(ConfigError):
@@ -130,13 +128,13 @@ class TestFromArgs:
     def test_sweep_namespace_lifts_cleanly(self):
         args = _ns(
             n=3, limit=2, budget=512, split_threshold=64, subshard="off",
-            backend="bitset", cost_model="observed", jobs=2,
+            backend="bitset", jobs=2,
             distributed=None, seed_store="on",
         )
         config = SweepConfig.from_args(args)
         assert config == SweepConfig(
             n=3, limit=2, budget=512, split_threshold=64, subshard=False,
-            backend="bitset", cost_model="observed",
+            backend="bitset",
             executor=ExecutorConfig(jobs=2),
         )
 

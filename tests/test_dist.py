@@ -24,13 +24,11 @@ import pytest
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
 from repro.dist import (
-    CheckpointWriter,
     Coordinator,
     DistExecutor,
     PoolExecutor,
     SerialExecutor,
     Supervisor,
-    load_checkpoint,
     make_executor,
     parse_address,
     probe_status,
@@ -1109,45 +1107,52 @@ class TestCostScaledLeases:
                 silent.close()
 
 
-class TestDistCheckpoint:
-    """Coordinator-side checkpoint recording and completed-job replay."""
+def _sweep_with_executor(kind: str):
+    """``sweep --n 3 --limit 6`` on a serial, pool or dist executor."""
+    if kind == "serial":
+        return solvability_sweep(3, limit=6, executor=SerialExecutor())
+    if kind == "pool":
+        return solvability_sweep(3, limit=6, executor=PoolExecutor(2))
+    threads = []
 
-    def test_completed_jobs_replay_in_parent_not_redispatch(
-        self, fresh_cache
-    ):
-        tasks = _mul_jobs(4)
-        result = _serve_with_local_worker(tasks, completed=[0, 2])
-        assert result.values == (0, 7, 14, 21)
-        metrics = result.dist_metrics
-        assert metrics["replayed"] == 2
-        # The worker only ever saw the two non-replayed jobs.
-        assert sum(w["completed"] for w in metrics["workers"]) == 2
-
-    def test_serve_records_checkpoint_completions(
-        self, fresh_cache, tmp_path
-    ):
-        tasks = _mul_jobs(4)
-        path = tmp_path / "dist.ckpt"
-        writer = CheckpointWriter(
-            path=path,
-            fingerprint="fp",
-            tasks=tuple(t.name for t in tasks),
-            interval=0.0,
+    def _launch(address):
+        thread = threading.Thread(
+            target=run_worker, args=address, daemon=True
         )
-        result = _serve_with_local_worker(tasks, checkpoint=writer)
-        assert result.values == (0, 7, 14, 21)
-        state = load_checkpoint(path)
-        assert state.fingerprint == "fp"
-        assert set(state.completed) == {t.name for t in tasks}
-        assert state.remaining == ()
+        thread.start()
+        threads.append(thread)
 
-    def test_persistent_coordinator_rejects_completed(self):
-        with pytest.raises(DistError, match="batch-mode"):
-            Coordinator([], persistent=True, completed=[0])
+    report = solvability_sweep(
+        3, limit=6, executor=DistExecutor(":0", on_bound=_launch)
+    )
+    for thread in threads:
+        thread.join(timeout=10.0)
+    return report
 
-    def test_out_of_range_completed_rejected(self):
-        with pytest.raises(DistError, match="completed"):
-            Coordinator(_mul_jobs(2), completed=[5])
+
+class TestWarmResume:
+    """Resume is a re-run of the same sweep against the same store."""
+
+    @pytest.mark.parametrize("kind", ["serial", "pool", "dist"])
+    def test_warm_rerun_recomputes_nothing(self, tmp_store, kind):
+        """Every shard a finished run banked comes back as a store hit on
+        the re-run: byte-identical rows, zero kernel recompute."""
+        first = _sweep_with_executor(kind)
+        tmp_store.flush()
+        KERNEL_CACHE.clear()
+
+        rerun = _sweep_with_executor(kind)
+        assert rerun.rows == first.rows
+        assert rerun.resumed == 6  # every class warm
+        shard = {
+            name: (hits, misses, writes)
+            for name, hits, misses, writes
+            in rerun.batch.store_stats.by_kernel
+        }["solvability_shard"]
+        hits, misses, writes = shard
+        assert hits == 6
+        assert misses == 0  # zero recompute of banked kernels
+        assert writes == 0
 
 
 class TestSupervisor:
